@@ -75,6 +75,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFaultPlan -fuzztime=5s ./internal/fault
 	$(GO) test -run='^$$' -fuzz=FuzzIdentityKey -fuzztime=5s ./internal/jobs
 	$(GO) test -run='^$$' -fuzz=FuzzStoreRecord -fuzztime=5s ./internal/store
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=5s ./internal/store
 
 # Observability gate (CI, tier 1): the telemetry layer's inertness contract
 # (DESIGN.md §9). localvet's obsinert analyzer proves hot paths never consume

@@ -91,9 +91,10 @@ func newT10Plan(n int, opt T10Options) t10Plan {
 	p.p1End = 1 + 2*p.iters
 	p.markBad = p.p1End + 1
 	fopt := forest.Options{
-		Q:         p.reserve,
-		SizeBound: opt.SizeBound,
-		IDSpace:   1 << opt.IDBits,
+		Q:           p.reserve,
+		SizeBound:   opt.SizeBound,
+		IDSpace:     1 << opt.IDBits,
+		ColorOffset: opt.Delta - p.reserve,
 	}
 	p.fplan = forest.NewPlan(fopt.Resolve(n))
 	p.forestEnd = p.markBad + p.fplan.Rounds() + 1
@@ -108,6 +109,13 @@ func T10Rounds(n int, opt T10Options) int {
 	return newT10Plan(n, opt).total - 1
 }
 
+// T10ForestPlan returns the plan of the Theorem 10 machine's Phase 2: the
+// √Δ-coloring of the shattered components for the given graph size.
+func T10ForestPlan(n int, opt T10Options) forest.Plan {
+	opt = opt.withDefaults(n)
+	return newT10Plan(n, opt).fplan
+}
+
 // t10Status is the phase-1 broadcast.
 type t10Status struct {
 	Participating bool
@@ -116,9 +124,10 @@ type t10Status struct {
 }
 
 type t10 struct {
-	opt  T10Options
-	plan t10Plan
-	env  sim.Env
+	opt   T10Options
+	plan  *t10Plan // shared read-only by the whole run
+	plans *sim.RunPlan[int, *t10Plan]
+	env   sim.Env
 
 	id      uint64
 	color   int
@@ -143,7 +152,11 @@ func NewT10Factory(opt T10Options) sim.Factory {
 	if opt.Delta < 9 {
 		panic(fmt.Sprintf("core: Theorem 10 needs Delta >= 9 (√Δ >= 3), got %d", opt.Delta))
 	}
-	return func() sim.Machine { return &t10{opt: opt} }
+	plans := sim.NewRunPlan(func(n int) *t10Plan {
+		p := newT10Plan(n, opt.withDefaults(n))
+		return &p
+	})
+	return func() sim.Machine { return &t10{plans: plans} }
 }
 
 func (m *t10) Init(env sim.Env) {
@@ -151,8 +164,8 @@ func (m *t10) Init(env sim.Env) {
 		panic("core: Theorem 10 is a RandLOCAL algorithm; Config.Randomized required")
 	}
 	m.env = env
-	m.opt = m.opt.withDefaults(env.N)
-	m.plan = newT10Plan(env.N, m.opt)
+	m.plan = m.plans.Get(env.N)
+	m.opt = m.plan.opt
 	m.id = env.Rand.Uint64()%(1<<m.opt.IDBits) + 1
 	m.palette = make(map[int]struct{}, m.opt.Delta-m.plan.reserve)
 	for c := 1; c <= m.opt.Delta-m.plan.reserve; c++ {
@@ -191,7 +204,7 @@ func (m *t10) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	if m.failed {
 		return nil, true
 	}
-	pl := &m.plan
+	pl := m.plan
 	if step > pl.markBad && step <= pl.forestEnd {
 		return m.forestStep(step, recv)
 	}
@@ -329,15 +342,9 @@ func (m *t10) filter(i int) {
 
 // startForest builds the embedded Phase 2 machine over the bad vertices.
 func (m *t10) startForest() {
-	fopt := forest.Options{
-		Q:           m.plan.reserve,
-		SizeBound:   m.opt.SizeBound,
-		IDSpace:     1 << m.opt.IDBits,
-		ColorOffset: m.opt.Delta - m.plan.reserve,
-		IDOf:        func(sim.Env) uint64 { return m.id },
-		Active:      func(sim.Env) bool { return m.bad },
-	}
-	m.inner = forest.NewFactory(fopt)()
+	m.inner = forest.NewMachine(&m.plan.fplan,
+		func(sim.Env) uint64 { return m.id },
+		func(sim.Env) bool { return m.bad })
 	m.inner.Init(m.env)
 }
 

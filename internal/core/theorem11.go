@@ -86,14 +86,10 @@ func newT11Plan(n int, opt T11Options) t11Plan {
 	p := t11Plan{opt: opt}
 	idSpace := 1 << opt.IDBits
 	p.sched = linial.Schedule(idSpace, opt.Delta)
-	fp := linial.FixedPoint(idSpace, opt.Delta)
+	fp := linial.FinalPalette(idSpace, p.sched)
 	if fp > opt.Delta+1 {
 		p.kw = linial.NewKWPlan(fp, opt.Delta+1)
-		for i := range p.kw.Palettes {
-			for j := 0; j < p.kw.PassLen(i); j++ {
-				p.kwAt = append(p.kwAt, [2]int{i, j})
-			}
-		}
+		p.kwAt = p.kw.Steps()
 	}
 	p.iters = mathx.Max(0, opt.Delta-3) // colors Δ down to 4
 	// Step layout:
@@ -140,9 +136,10 @@ type t11Status struct {
 }
 
 type t11 struct {
-	opt  T11Options
-	plan t11Plan
-	env  sim.Env
+	opt   T11Options
+	plan  *t11Plan // shared read-only by the whole run
+	plans *sim.RunPlan[int, *t11Plan]
+	env   sim.Env
 
 	id     uint64
 	base   int
@@ -173,7 +170,11 @@ func NewT11Factory(opt T11Options) sim.Factory {
 	if opt.Delta < 4 {
 		panic(fmt.Sprintf("core: Theorem 11 needs Delta >= 4, got %d", opt.Delta))
 	}
-	return func() sim.Machine { return &t11{opt: opt} }
+	plans := sim.NewRunPlan(func(n int) *t11Plan {
+		p := newT11Plan(n, opt.withDefaults(n))
+		return &p
+	})
+	return func() sim.Machine { return &t11{plans: plans} }
 }
 
 func (m *t11) Init(env sim.Env) {
@@ -181,8 +182,8 @@ func (m *t11) Init(env sim.Env) {
 		panic("core: Theorem 11 is a RandLOCAL algorithm; Config.Randomized required")
 	}
 	m.env = env
-	m.opt = m.opt.withDefaults(env.N)
-	m.plan = newT11Plan(env.N, m.opt)
+	m.plan = m.plans.Get(env.N)
+	m.opt = m.plan.opt
 	m.id = env.Rand.Uint64()%(1<<m.opt.IDBits) + 1
 	m.base = int(m.id) - 1
 	m.inU = true
@@ -218,7 +219,7 @@ func (m *t11) Step(step int, recv []sim.Message) ([]sim.Message, bool) {
 	if m.failed {
 		return nil, true
 	}
-	pl := &m.plan
+	pl := m.plan
 	// Phase 2's inner forest machine owns the message channel during its
 	// window; everything else speaks t11Status.
 	if step > pl.sDetect && step <= pl.forestEnd {
@@ -366,14 +367,9 @@ func (m *t11) detectS() {
 
 // startForest builds the embedded Phase 2 machine.
 func (m *t11) startForest() {
-	fopt := forest.Options{
-		Q:         3,
-		SizeBound: m.opt.SizeBound,
-		IDSpace:   1 << m.opt.IDBits,
-		IDOf:      func(sim.Env) uint64 { return m.id },
-		Active:    func(sim.Env) bool { return m.inS },
-	}
-	m.inner = forest.NewFactory(fopt)()
+	m.inner = forest.NewMachine(&m.plan.fplan,
+		func(sim.Env) uint64 { return m.id },
+		func(sim.Env) bool { return m.inS })
 	m.inner.Init(m.env)
 }
 

@@ -46,7 +46,6 @@ type Result struct {
 // plan is the shared reduction schedule.
 type plan struct {
 	sched  []linial.Family
-	fp     int
 	kw     linial.KWPlan
 	kwAt   [][2]int
 	target int
@@ -61,18 +60,10 @@ func newPlan(idSpace, delta, target int) plan {
 		panic(fmt.Sprintf("edgecolor: target %d below 2Δ-1 = %d", target, 2*delta-1))
 	}
 	k0 := idSpace * idSpace
-	p := plan{
-		sched:  linial.Schedule(k0, deltaL),
-		fp:     linial.FixedPoint(k0, deltaL),
-		target: target,
-	}
-	if p.fp > target {
-		p.kw = linial.NewKWPlan(p.fp, target)
-		for i := range p.kw.Palettes {
-			for j := 0; j < p.kw.PassLen(i); j++ {
-				p.kwAt = append(p.kwAt, [2]int{i, j})
-			}
-		}
+	p := plan{sched: linial.Schedule(k0, deltaL), target: target}
+	if fp := linial.FinalPalette(k0, p.sched); fp > target {
+		p.kw = linial.NewKWPlan(fp, target)
+		p.kwAt = p.kw.Steps()
 	}
 	return p
 }
@@ -99,7 +90,8 @@ type msg struct {
 
 type machine struct {
 	opt    Options
-	plan   plan
+	plan   *plan // shared read-only by the whole run
+	plans  *sim.RunPlan[Options, *plan]
 	env    sim.Env
 	colors []int
 }
@@ -108,7 +100,11 @@ var _ sim.Machine = (*machine)(nil)
 
 // NewFactory returns the deterministic (2Δ-1)-edge-coloring machine.
 func NewFactory(opt Options) sim.Factory {
-	return func() sim.Machine { return &machine{opt: opt} }
+	plans := sim.NewRunPlan(func(o Options) *plan {
+		p := newPlan(o.IDSpace, o.Delta, o.Target)
+		return &p
+	})
+	return func() sim.Machine { return &machine{opt: opt, plans: plans} }
 }
 
 func (m *machine) Init(env sim.Env) {
@@ -122,7 +118,7 @@ func (m *machine) Init(env sim.Env) {
 	if m.opt.Delta == 0 {
 		m.opt.Delta = env.MaxDeg
 	}
-	m.plan = newPlan(m.opt.IDSpace, m.opt.Delta, m.opt.Target)
+	m.plan = m.plans.Get(m.opt)
 	m.colors = make([]int, env.Degree)
 }
 

@@ -89,11 +89,6 @@ func (o Options) Resolve(n int) Options {
 	return o
 }
 
-// withDefaults resolves the zero values against an environment.
-func (o Options) withDefaults(env sim.Env) Options {
-	return o.Resolve(env.N)
-}
-
 // validate panics on caller errors (not data errors).
 func (o Options) validate() {
 	if o.Q < 3 {
@@ -134,7 +129,7 @@ func NewPlan(opt Options) Plan {
 	p := Plan{Opt: opt}
 	p.Peel = PeelRounds(opt.SizeBound, opt.A)
 	p.Sched = linial.Schedule(opt.IDSpace, opt.A)
-	p.FP = linial.FixedPoint(opt.IDSpace, opt.A)
+	p.FP = linial.FinalPalette(opt.IDSpace, p.Sched)
 	p.HSw = mathx.Max(0, p.FP-(opt.A+1))
 	p.Final = p.Peel * (opt.A + 1)
 	return p
@@ -147,12 +142,27 @@ func (p Plan) Rounds() int {
 	return 1 + p.Peel + 1 + len(p.Sched) + p.HSw + p.Final
 }
 
-// NewFactory returns the forest coloring machine factory.
+// NewFactory returns the forest coloring machine factory. Its machines
+// share one plan per graph size, built on the first Init.
 // Output: final color in ColorOffset+1..ColorOffset+Q for active vertices,
 // 0 for inactive ones.
 func NewFactory(opt Options) sim.Factory {
 	opt.validate()
-	return func() sim.Machine { return &machine{opt: opt} }
+	plans := sim.NewRunPlan(func(n int) *Plan {
+		p := NewPlan(opt.Resolve(n))
+		return &p
+	})
+	return func() sim.Machine { return &machine{plans: plans} }
+}
+
+// NewMachine returns one forest coloring machine that runs the resolved
+// plan p, which the caller built once for the whole run; Theorems 10 and 11
+// embed such a machine per node for their Phase 2. idOf and active stand in
+// for p.Opt's IDOf and Active hooks.
+func NewMachine(p *Plan, idOf func(sim.Env) uint64, active func(sim.Env) bool) sim.Machine {
+	opt := p.Opt
+	opt.IDOf, opt.Active = idOf, active
+	return &machine{opt: opt, plan: p}
 }
 
 // status is the single message type; every active vertex broadcasts its
@@ -167,8 +177,9 @@ type status struct {
 }
 
 type machine struct {
-	opt    Options
-	plan   Plan
+	opt    Options                  // resolved; hooks are this machine's
+	plan   *Plan                    // shared read-only by the whole run
+	plans  *sim.RunPlan[int, *Plan] // the factory's plans; nil after NewMachine
 	env    sim.Env
 	active bool
 	id     uint64
@@ -197,8 +208,10 @@ var _ sim.Machine = (*machine)(nil)
 
 func (m *machine) Init(env sim.Env) {
 	m.env = env
-	m.opt = m.opt.withDefaults(env)
-	m.plan = NewPlan(m.opt)
+	if m.plan == nil {
+		m.plan = m.plans.Get(env.N)
+		m.opt = m.plan.Opt
+	}
 	m.active = m.opt.Active == nil || m.opt.Active(env)
 	if m.active {
 		if m.opt.IDOf != nil {

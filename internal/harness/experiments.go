@@ -153,15 +153,8 @@ func E2DeltaScaling(cfg Config) *Table {
 				panic(fmt.Sprintf("harness: E2 run: %v", err))
 			}
 			colors := core.Colors(res.Outputs)
-			reserve := 0
-			for reserve*reserve < delta {
-				reserve++
-			}
-			fplan := forest.NewPlan(forest.Options{
-				Q: reserve, SizeBound: mathx.Max(32, 8*mathx.CeilLog2(n+1)), IDSpace: 1 << 40,
-			}.Resolve(n))
 			t.AddRow(delta, n, res.Rounds, checkColoring(g, delta, colors),
-				fplan.Rounds(), len(core.CSequence(delta)))
+				core.T10ForestPlan(n, opt).Rounds(), len(core.CSequence(delta)))
 		})
 	}
 	cfg.Flush(t)

@@ -178,11 +178,17 @@ func Schedule(k0, delta int) []Family {
 }
 
 // FixedPoint returns the final palette size of the iterated reduction, the
-// β·Δ² of Theorem 2.
+// β·Δ² of Theorem 2. Callers that already hold Schedule(k0, delta) use
+// FinalPalette instead of rebuilding it.
 func FixedPoint(k0, delta int) int {
-	k := k0
-	for _, f := range Schedule(k0, delta) {
-		k = f.PaletteSize()
+	return FinalPalette(k0, Schedule(k0, delta))
+}
+
+// FinalPalette returns the palette size after running sched from an initial
+// palette of k0 colors: the fixed point when sched is Schedule(k0, ·).
+func FinalPalette(k0 int, sched []Family) int {
+	if len(sched) == 0 {
+		return k0
 	}
-	return k
+	return sched[len(sched)-1].PaletteSize()
 }

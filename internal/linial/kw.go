@@ -55,6 +55,18 @@ func (p KWPlan) PassLen(i int) int {
 	return 2 * p.Target
 }
 
+// Steps lists the (pass, sub-step) pair of every round of the reduction in
+// order, so a machine can index its schedule by round.
+func (p KWPlan) Steps() [][2]int {
+	var at [][2]int
+	for i := range p.Palettes {
+		for j := 0; j < p.PassLen(i); j++ {
+			at = append(at, [2]int{i, j})
+		}
+	}
+	return at
+}
+
 // Rounds is the total round cost of the reduction.
 func (p KWPlan) Rounds() int {
 	total := 0

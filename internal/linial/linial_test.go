@@ -125,6 +125,28 @@ func TestFixedPointIsODeltaSquared(t *testing.T) {
 	}
 }
 
+// TestFinalPaletteMatchesFixedPoint checks that the fixed point the plans
+// derive from a schedule they already hold equals FixedPoint and the
+// palette that iterating NewFamily by hand settles on.
+func TestFinalPaletteMatchesFixedPoint(t *testing.T) {
+	for _, k0 := range []int{1, 2, 7, 100, 1 << 10, 1 << 20, 1 << 40, 1 << 62} {
+		for _, delta := range []int{1, 2, 3, 5, 8, 16, 35, 64} {
+			k := k0
+			for {
+				next := linial.NewFamily(k, delta).PaletteSize()
+				if next >= k {
+					break
+				}
+				k = next
+			}
+			got := linial.FinalPalette(k0, linial.Schedule(k0, delta))
+			if fp := linial.FixedPoint(k0, delta); got != fp || got != k {
+				t.Errorf("k0=%d Δ=%d: FinalPalette %d, FixedPoint %d, iterated %d", k0, delta, got, fp, k)
+			}
+		}
+	}
+}
+
 func TestMachineProducesProperColoring(t *testing.T) {
 	r := rng.New(17)
 	for trial := 0; trial < 8; trial++ {

@@ -52,8 +52,14 @@ func NewFactory(opt Options) sim.Factory {
 		panic(fmt.Sprintf("linial: Target %d < Delta+1 = %d", opt.Target, opt.Delta+1))
 	}
 	sched := Schedule(opt.InitialPalette, opt.Delta)
+	fp := FinalPalette(opt.InitialPalette, sched)
+	var kw KWPlan
+	if opt.Target != 0 && opt.KW {
+		kw = NewKWPlan(fp, opt.Target)
+	}
+	kwAt := kw.Steps()
 	return func() sim.Machine {
-		return &Machine{opt: opt, sched: sched}
+		return &Machine{opt: opt, sched: sched, m: fp, kw: kw, kwAt: kwAt}
 	}
 }
 
@@ -70,18 +76,6 @@ func (m *Machine) Init(env sim.Env) {
 	}
 	if m.color < 0 || m.color >= m.opt.InitialPalette {
 		panic(fmt.Sprintf("linial: initial color %d outside 0..%d", m.color, m.opt.InitialPalette-1))
-	}
-	m.m = m.opt.InitialPalette
-	if len(m.sched) > 0 {
-		m.m = m.sched[len(m.sched)-1].PaletteSize()
-	}
-	if m.opt.Target != 0 && m.opt.KW {
-		m.kw = NewKWPlan(m.m, m.opt.Target)
-		for i := range m.kw.Palettes {
-			for j := 0; j < m.kw.PassLen(i); j++ {
-				m.kwAt = append(m.kwAt, [2]int{i, j})
-			}
-		}
 	}
 }
 
@@ -179,10 +173,7 @@ func smallestFree(nbrs []int, limit int) int {
 // length plus the sweep length. Useful for tests and the experiment tables.
 func Rounds(opt Options) int {
 	sched := Schedule(opt.InitialPalette, opt.Delta)
-	m := opt.InitialPalette
-	if len(sched) > 0 {
-		m = sched[len(sched)-1].PaletteSize()
-	}
+	m := FinalPalette(opt.InitialPalette, sched)
 	sweep := 0
 	if opt.Target != 0 && m > opt.Target {
 		if opt.KW {

@@ -170,7 +170,6 @@ type DetOptions struct {
 // detPlan is the shared schedule of the deterministic machine.
 type detPlan struct {
 	sched  []linial.Family
-	fp     int
 	kw     linial.KWPlan
 	kwAt   [][2]int
 	target int // 2Δ-1
@@ -180,18 +179,10 @@ func newDetPlan(idSpace, delta int) detPlan {
 	deltaL := mathx.Max(1, 2*delta-2) // line graph degree bound
 	target := mathx.Max(1, 2*delta-1)
 	k0 := idSpace * idSpace
-	p := detPlan{
-		sched:  linial.Schedule(k0, deltaL),
-		fp:     linial.FixedPoint(k0, deltaL),
-		target: target,
-	}
-	if p.fp > target {
-		p.kw = linial.NewKWPlan(p.fp, target)
-		for i := range p.kw.Palettes {
-			for j := 0; j < p.kw.PassLen(i); j++ {
-				p.kwAt = append(p.kwAt, [2]int{i, j})
-			}
-		}
+	p := detPlan{sched: linial.Schedule(k0, deltaL), target: target}
+	if fp := linial.FinalPalette(k0, p.sched); fp > target {
+		p.kw = linial.NewKWPlan(fp, target)
+		p.kwAt = p.kw.Steps()
 	}
 	return p
 }
@@ -206,7 +197,8 @@ type detMsg struct {
 
 type detMatch struct {
 	opt     DetOptions
-	plan    detPlan
+	plan    *detPlan // shared read-only by the whole run
+	plans   *sim.RunPlan[DetOptions, *detPlan]
 	env     sim.Env
 	nbrID   []uint64
 	colors  []int // current color of the edge at each port (0-based)
@@ -218,7 +210,11 @@ var _ sim.Machine = (*detMatch)(nil)
 
 // NewDetFactory returns the deterministic maximal matching machine.
 func NewDetFactory(opt DetOptions) sim.Factory {
-	return func() sim.Machine { return &detMatch{opt: opt} }
+	plans := sim.NewRunPlan(func(o DetOptions) *detPlan {
+		p := newDetPlan(o.IDSpace, o.Delta)
+		return &p
+	})
+	return func() sim.Machine { return &detMatch{opt: opt, plans: plans} }
 }
 
 func (m *detMatch) Init(env sim.Env) {
@@ -232,7 +228,7 @@ func (m *detMatch) Init(env sim.Env) {
 	if m.opt.Delta == 0 {
 		m.opt.Delta = env.MaxDeg
 	}
-	m.plan = newDetPlan(m.opt.IDSpace, m.opt.Delta)
+	m.plan = m.plans.Get(m.opt)
 	m.nbrID = make([]uint64, env.Degree)
 	m.colors = make([]int, env.Degree)
 	m.matched = -1

@@ -155,6 +155,7 @@ type DetOptions struct {
 // det runs Linial+KW to a (Δ+1)-coloring, then sweeps the color classes.
 type det struct {
 	opt    DetOptions
+	plans  *sim.RunPlan[DetOptions, *detPlan]
 	env    sim.Env
 	linial sim.Machine
 	linSt  int // step at which the inner Linial machine halts
@@ -164,9 +165,25 @@ type det struct {
 
 var _ sim.Machine = (*det)(nil)
 
+// detPlan is the run-global part of the deterministic machine: the inner
+// Linial machines' factory, whose schedule is built once, and its length.
+type detPlan struct {
+	linial sim.Factory
+	linSt  int
+}
+
 // NewDetFactory returns the deterministic MIS machine.
 func NewDetFactory(opt DetOptions) sim.Factory {
-	return func() sim.Machine { return &det{opt: opt} }
+	plans := sim.NewRunPlan(func(o DetOptions) *detPlan {
+		lopt := linial.Options{
+			InitialPalette: o.IDSpace,
+			Delta:          o.Delta,
+			Target:         o.Delta + 1,
+			KW:             true,
+		}
+		return &detPlan{linial: linial.NewFactory(lopt), linSt: linial.Rounds(lopt) + 1}
+	})
+	return func() sim.Machine { return &det{opt: opt, plans: plans} }
 }
 
 func (m *det) Init(env sim.Env) {
@@ -177,15 +194,10 @@ func (m *det) Init(env sim.Env) {
 	if m.opt.Delta == 0 {
 		m.opt.Delta = env.MaxDeg
 	}
-	lopt := linial.Options{
-		InitialPalette: m.opt.IDSpace,
-		Delta:          m.opt.Delta,
-		Target:         m.opt.Delta + 1,
-		KW:             true,
-	}
-	m.linial = linial.NewFactory(lopt)()
+	p := m.plans.Get(m.opt)
+	m.linial = p.linial()
 	m.linial.Init(env)
-	m.linSt = linial.Rounds(lopt) + 1
+	m.linSt = p.linSt
 	m.st = stateUndecided
 }
 

@@ -83,9 +83,11 @@ type Machine interface {
 	Output() any
 }
 
-// Factory creates a fresh Machine for each node. Machines must not share
-// mutable state through the factory; the concurrent engine will expose such
-// bugs under the race detector.
+// Factory creates a fresh Machine for each node. The only state machines
+// may share through the factory is an immutable per-run plan, built once by
+// the factory (through a RunPlan when it depends on the graph); everything
+// else is per node. The concurrent engine exposes shared mutable state
+// under the race detector.
 type Factory func() Machine
 
 // Engine selects the execution strategy.

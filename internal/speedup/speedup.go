@@ -365,11 +365,12 @@ func NewSlowColoringFactory(delta int, epsNum, epsDen int) func(idBits int) sim.
 			Target:         delta + 1,
 			KW:             true,
 		}
+		inner := linial.NewFactory(lopt)
 		colorRounds := linial.Rounds(lopt)
 		idle := idleRounds(delta, idBits, epsNum, epsDen)
 		return func() sim.Machine {
 			return &slowColoring{
-				inner:      linial.NewFactory(lopt)(),
+				inner:      inner(),
 				innerSteps: colorRounds + 1,
 				idle:       idle,
 			}
