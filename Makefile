@@ -76,6 +76,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzIdentityKey -fuzztime=5s ./internal/jobs
 	$(GO) test -run='^$$' -fuzz=FuzzStoreRecord -fuzztime=5s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=5s ./internal/store
+	$(GO) test -run='^$$' -fuzz=FuzzParseShards -fuzztime=5s ./internal/cluster
 
 # Observability gate (CI, tier 1): the telemetry layer's inertness contract
 # (DESIGN.md §9). localvet's obsinert analyzer proves hot paths never consume

@@ -27,7 +27,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -38,6 +38,7 @@ import (
 	"locality/internal/jobs"
 	"locality/internal/obs"
 	"locality/internal/obs/trace"
+	"locality/internal/tenant"
 )
 
 func TestMain(m *testing.M) {
@@ -104,18 +105,18 @@ func directRun(t *testing.T, experiment string, seed uint64) string {
 }
 
 // testClusterFrontend stands up a coordinator front-end over the given
-// worker URLs and serves its API from an httptest server. With tr
-// non-nil the front-end traces: coordinator SpanEvents bridge through
-// onSpan exactly as serveCluster wires them.
-func testClusterFrontend(t *testing.T, reportDir string, tr *trace.Tracer, workerURLs ...string) (*clusterServer, *httptest.Server) {
+// worker URLs and serves its API from an httptest server. opts is the
+// front-end pool's configuration (tracer, report dir, tenancy, retention);
+// coordinate installs the executor exactly as serve does.
+func testClusterFrontend(t *testing.T, opts jobs.Options, workerURLs ...string) (*server, *httptest.Server) {
 	t.Helper()
 	shards := make([]cluster.Shard, len(workerURLs))
 	for i, u := range workerURLs {
 		shards[i] = cluster.Shard{Name: fmt.Sprintf("shard%d", i), URL: u}
 	}
 	reg := obs.NewRegistry()
-	var holder atomic.Pointer[clusterServer]
-	coord, err := cluster.New(cluster.Options{
+	opts.Metrics = reg
+	err := coordinate(&opts, cluster.Options{
 		Shards:         shards,
 		RequestTimeout: 2 * time.Second,
 		Retries:        2,
@@ -125,28 +126,28 @@ func testClusterFrontend(t *testing.T, reportDir string, tr *trace.Tracer, worke
 		ProbeThreshold: 2,
 		Metrics:        reg,
 		Logf:           t.Logf,
-		OnSpan: func(e cluster.SpanEvent) {
-			if cs := holder.Load(); cs != nil {
-				cs.onSpan(e)
-			}
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := newClusterServer(coord, 16, reg, tr, reportDir, 0, nil)
-	holder.Store(cs)
-	ts := httptest.NewServer(cs.handler(10*time.Second, 64))
+	s := newServer(jobs.New(opts), 64, 10*time.Second, reg, opts.Tracer)
+	ts := httptest.NewServer(s.handler())
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		_ = cs.drain(ctx)
+		_ = s.drain(ctx)
 	})
-	return cs, ts
+	return s, ts
 }
 
-func pollClusterJob(t *testing.T, base, id string) clusterJob {
+// sweepJob is a coordinator job snapshot with its audit value decoded.
+type sweepJob struct {
+	jobs.Job
+	Result *cluster.Result `json:"result"`
+}
+
+func pollClusterJob(t *testing.T, base, id string) sweepJob {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
@@ -154,15 +155,15 @@ func pollClusterJob(t *testing.T, base, id string) clusterJob {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var cj clusterJob
-		decode(t, resp, &cj)
-		if cj.State.Terminal() {
-			return cj
+		var sj sweepJob
+		decode(t, resp, &sj)
+		if sj.State.Terminal() {
+			return sj
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("cluster job %s not terminal after 60s", id)
-	return clusterJob{}
+	return sweepJob{}
 }
 
 // metricValue extracts an unlabeled metric's value from Prometheus text.
@@ -190,7 +191,7 @@ func TestClusterFrontendInProcess(t *testing.T) {
 		_, ts := testServer(t, jobs.Options{Workers: 1})
 		workers = append(workers, ts.URL)
 	}
-	_, front := testClusterFrontend(t, "", nil, workers...)
+	_, front := testClusterFrontend(t, jobs.Options{}, workers...)
 
 	resp := submit(t, front.URL, `{"experiment":"E4","quick":true,"seed":7}`)
 	if resp.StatusCode != http.StatusAccepted {
@@ -296,7 +297,7 @@ func TestClusterKillShardE2E(t *testing.T) {
 	}
 
 	reportDir := t.TempDir()
-	_, front := testClusterFrontend(t, reportDir, nil, urls...)
+	_, front := testClusterFrontend(t, jobs.Options{ReportDir: reportDir}, urls...)
 
 	resp := submit(t, front.URL, `{"experiment":"E4","quick":true,"seed":7}`)
 	if resp.StatusCode != http.StatusAccepted {
@@ -391,5 +392,146 @@ func TestClusterKillShardE2E(t *testing.T) {
 		if err := os.WriteFile(dst, report, 0o644); err != nil {
 			t.Fatalf("exporting run report artifact: %v", err)
 		}
+	}
+}
+
+// submitID posts a submission and returns the accepted job's ID.
+func submitID(t *testing.T, base, body string) string {
+	t.Helper()
+	resp := submit(t, base, body)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit %s: %d", body, resp.StatusCode)
+	}
+	var acc jobs.SubmitResult
+	decode(t, resp, &acc)
+	return acc.ID
+}
+
+// TestClusterRetention: coordinator jobs are bounded by the pool's
+// retention like any other — the oldest terminal sweeps are evicted, so a
+// long-lived front-end's job table stops growing at the bound.
+func TestClusterRetention(t *testing.T) {
+	var workers []string
+	for i := 0; i < 2; i++ {
+		_, ts := testServer(t, jobs.Options{Workers: 1})
+		workers = append(workers, ts.URL)
+	}
+	_, front := testClusterFrontend(t, jobs.Options{Retention: 2}, workers...)
+
+	var ids []string
+	for seed := 1; seed <= 4; seed++ {
+		id := submitID(t, front.URL, fmt.Sprintf(`{"experiment":"E2","quick":true,"seed":%d}`, seed))
+		if sj := pollClusterJob(t, front.URL, id); sj.State != jobs.StateSucceeded {
+			t.Fatalf("sweep %s: %s (%s)", id, sj.State, sj.Error)
+		}
+		ids = append(ids, id)
+	}
+
+	resp, err := http.Get(front.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list struct {
+		Jobs []jobs.Job `json:"jobs"`
+	}
+	decode(t, resp, &list)
+	if len(list.Jobs) > 2 {
+		t.Errorf("listed %d jobs with Retention 2", len(list.Jobs))
+	}
+	for _, id := range ids[:2] {
+		resp, err := http.Get(front.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("evicted %s: %d, want 404", id, resp.StatusCode)
+		}
+	}
+}
+
+// TestClusterTenantForwarding: a keyed submit to the coordinator is
+// accounted to its tenant on every shard call, dedups like any pool
+// submit, and meets the front-end's tenant quotas.
+func TestClusterTenantForwarding(t *testing.T) {
+	const key = "alpha-secret-key"
+	var mu sync.Mutex
+	var shardCalls []string // "METHOD path" of every submit and poll, with the tenant key seen
+	var workers []string
+	for i := 0; i < 2; i++ {
+		s, _ := testServer(t, jobs.Options{Workers: 1})
+		h := s.handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost || strings.HasSuffix(r.URL.Path, "/checkpoint") {
+				mu.Lock()
+				shardCalls = append(shardCalls, r.Method+" "+r.URL.Path+" key="+r.Header.Get(tenant.Header))
+				mu.Unlock()
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		workers = append(workers, ts.URL)
+	}
+	// One submit token that does not refill within the test.
+	path := filepath.Join(t.TempDir(), "tenants.json")
+	cfg := `{"pinned":[{"name":"alpha","key":"` + key + `","limits":{"rate":0.001,"burst":1}}]}`
+	if err := os.WriteFile(path, []byte(cfg), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tcfg, err := loadTenants(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, front := testClusterFrontend(t, jobs.Options{Tenancy: tcfg, Idempotent: true}, workers...)
+
+	body := `{"experiment":"E2","quick":true,"seed":5}`
+	resp := submitKey(t, front.URL, key, body)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d", resp.StatusCode)
+	}
+	var first jobs.SubmitResult
+	decode(t, resp, &first)
+	if first.Tenant != "alpha" {
+		t.Errorf("admitted as tenant %q, want alpha", first.Tenant)
+	}
+	if sj := pollClusterJob(t, front.URL, first.ID); sj.State != jobs.StateSucceeded {
+		t.Fatalf("sweep: %s (%s)", sj.State, sj.Error)
+	}
+
+	mu.Lock()
+	calls := append([]string(nil), shardCalls...)
+	mu.Unlock()
+	var submits, polls int
+	for _, c := range calls {
+		if !strings.HasSuffix(c, " key="+key) {
+			t.Errorf("shard call without the tenant key: %s", c)
+		}
+		if strings.HasPrefix(c, "POST ") {
+			submits++
+		} else {
+			polls++
+		}
+	}
+	if submits == 0 || polls == 0 {
+		t.Errorf("saw %d shard submits and %d polls, want both", submits, polls)
+	}
+
+	// A duplicate costs no token and returns the same job.
+	resp = submitKey(t, front.URL, key, body)
+	var dup jobs.SubmitResult
+	decode(t, resp, &dup)
+	if resp.StatusCode != http.StatusAccepted || dup.ID != first.ID || !dup.Deduped {
+		t.Errorf("duplicate submit: %d %+v, want 202 with %s deduped", resp.StatusCode, dup, first.ID)
+	}
+
+	// A new spec finds the bucket empty.
+	resp = submitKey(t, front.URL, key, `{"experiment":"E2","quick":true,"seed":6}`)
+	var er errorResponse
+	decode(t, resp, &er)
+	if resp.StatusCode != http.StatusTooManyRequests || er.Reason != "rate_limited" {
+		t.Errorf("over-quota submit: %d %q, want 429 rate_limited", resp.StatusCode, er.Reason)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("429 without Retry-After")
 	}
 }

@@ -28,10 +28,13 @@
 // structured JSON body, so clients (the cluster coordinator included) can
 // back off with intent instead of guessing. See retry.go.
 //
-// With -coordinator the same binary becomes a cluster front-end instead:
-// submissions are sharded across a static membership of worker localityd
-// instances (-shards / -membership-file), merged in row order, and served
-// back byte-identical to a single-process run. See cluster.go.
+// With -coordinator the same server and pool become a cluster front-end:
+// the pool's executor shards each job across a static membership of worker
+// localityd instances (-shards / -membership-file), merges the rows in
+// order, and serves the table back byte-identical to a single-process run.
+// Everything else — tenancy, dedup, retention, the result store, SSE,
+// drain — is the one pool's, and the front-end runs one sweep at a time.
+// See cluster.go.
 //
 // Profiling is opt-in: -pprof-addr spawns net/http/pprof on a separate
 // listener, never on the API port.
@@ -123,15 +126,15 @@ func newServer(pool *jobs.Pool, maxInflight int, requestTimeout time.Duration, r
 // handler.
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.instrument("submit", s.handleSubmit))
-	mux.HandleFunc("GET /v1/jobs", s.instrument("list", s.handleList))
-	mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("get", s.handleGet))
-	mux.HandleFunc("GET /v1/jobs/{id}/checkpoint", s.instrument("checkpoint", s.handleCheckpoint))
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument("cancel", s.handleCancel))
-	mux.HandleFunc("GET /healthz", s.instrument("healthz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/jobs", s.instrumented("submit", s.handleSubmit))
+	mux.HandleFunc("GET /v1/jobs", s.instrumented("list", s.handleList))
+	mux.HandleFunc("GET /v1/jobs/{id}", s.instrumented("get", s.handleGet))
+	mux.HandleFunc("GET /v1/jobs/{id}/checkpoint", s.instrumented("checkpoint", s.handleCheckpoint))
+	mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrumented("cancel", s.handleCancel))
+	mux.HandleFunc("GET /healthz", s.instrumented("healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	}))
-	mux.HandleFunc("GET /readyz", s.instrument("readyz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /readyz", s.instrumented("readyz", func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() || s.pool.Draining() {
 			writeRetryable(w, http.StatusServiceUnavailable, jobs.ErrDraining,
 				errorResponse{Error: "draining", Reason: "draining"})
@@ -145,7 +148,7 @@ func (s *server) handler() http.Handler {
 	// mux's more-specific pattern wins over the catch-all that fronts every
 	// other route with the concurrency cap and per-request deadline.
 	outer := http.NewServeMux()
-	outer.HandleFunc("GET /v1/jobs/{id}/events", s.instrument("events", s.handleEvents))
+	outer.HandleFunc("GET /v1/jobs/{id}/events", s.instrumented("events", s.handleEvents))
 	outer.Handle("/", s.lim.wrap(mux))
 	return outer
 }
@@ -165,25 +168,19 @@ func (w *statusWriter) WriteHeader(code int) {
 // optional interfaces (the SSE handler needs Flush) through this wrapper.
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-// instrument wraps one route with a latency histogram and a per-status
-// request counter. Routes are named explicitly (not from the request path)
-// so the label space stays bounded.
-func (s *server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
-	return instrumented(s.reg, s.tr, route, h)
-}
-
-// instrumented is the route instrumentation shared by the worker and
-// coordinator handlers: a latency histogram, a per-status counter, and —
-// with a tracer attached — one span per request, continuing the caller's
-// trace when the Locality-Trace header carries one and exposing the
-// request's trace ID as the histogram's exemplar.
-func instrumented(reg *obs.Registry, tr *trace.Tracer, route string, h http.HandlerFunc) http.HandlerFunc {
-	hist := reg.Histogram("locality_http_request_seconds",
+// instrumented wraps one route with a latency histogram, a per-status
+// request counter, and — with a tracer attached — one span per request,
+// continuing the caller's trace when the Locality-Trace header carries one
+// and exposing the request's trace ID as the histogram's exemplar. Routes
+// are named explicitly (not from the request path) so the label space
+// stays bounded.
+func (s *server) instrumented(route string, h http.HandlerFunc) http.HandlerFunc {
+	hist := s.reg.Histogram("locality_http_request_seconds",
 		"HTTP request latency by route.", obs.DefTimeBuckets, "route", route)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		parent, _ := trace.Parse(r.Header.Get(trace.Header))
-		sp := tr.Start(parent, "http."+route, "method", r.Method)
+		sp := s.tr.Start(parent, "http."+route, "method", r.Method)
 		if sp != nil {
 			r = r.WithContext(trace.ContextWithSpan(r.Context(), sp))
 		}
@@ -197,24 +194,24 @@ func instrumented(reg *obs.Registry, tr *trace.Tracer, route string, h http.Hand
 		} else {
 			hist.Observe(secs)
 		}
-		reg.Counter("locality_http_requests_total",
+		s.reg.Counter("locality_http_requests_total",
 			"HTTP requests by route and status code.",
 			"route", route, "code", strconv.Itoa(sw.status)).Inc()
 	}
 }
 
 // handleMetrics serves the Prometheus text exposition. It is deliberately
-// outside instrument: scrapes should not perturb the latency histograms
+// outside instrumented: scrapes should not perturb the latency histograms
 // they read.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.reg.WriteProm(w)
 }
 
-// limiter is the backpressure middleware shared by both serving modes: at
-// most cap(inflight) concurrent requests, each bounded by the per-request
-// timeout. Excess requests are rejected immediately with 503 + Retry-After
-// — the service sheds, it never queues invisibly.
+// limiter is the backpressure middleware: at most cap(inflight)
+// concurrent requests, each bounded by the per-request timeout. Excess
+// requests are rejected immediately with 503 + Retry-After — the service
+// sheds, it never queues invisibly.
 type limiter struct {
 	inflight chan struct{}
 	timeout  time.Duration
@@ -371,7 +368,7 @@ func main() {
 		probeInterval  = flag.Duration("probe-interval", 500*time.Millisecond, "shard health probe cadence")
 		probeThreshold = flag.Int("probe-threshold", 3, "consecutive probe failures that mark a shard unhealthy")
 		shardWorkers   = flag.Int("shard-workers", 0, "parallel row workers per shard job (0 = sequential)")
-		workers        = flag.Int("workers", 2, "concurrent experiment runners")
+		workers        = flag.Int("workers", 2, "concurrent experiment runners (ignored with -coordinator, which runs one sweep at a time)")
 		queueDepth     = flag.Int("queue", 16, "submission queue bound (excess is shed)")
 		checkpointDir  = flag.String("checkpoint-dir", "", "directory for job checkpoints (empty = in-memory only)")
 		storeDir       = flag.String("store-dir", "", "directory for the persistent content-addressed result cache (empty = disabled)")
@@ -398,45 +395,34 @@ func main() {
 		fmt.Printf("localityd %s %s %s/%s\n", obs.Version(), runtime.Version(), runtime.GOOS, runtime.GOARCH)
 		return
 	}
+	var co *cluster.Options
 	if *coordinator {
 		shards, err := membership(*shardsFlag, *membershipFile)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ln, err := net.Listen("tcp", *addr)
-		if err != nil {
-			log.Fatalf("localityd: listen: %v", err)
+		co = &cluster.Options{
+			Shards:         shards,
+			RequestTimeout: *shardTimeout,
+			Retries:        *shardRetries,
+			Backoff:        harness.Backoff{Base: *retryBase, Max: *retryMax, Seed: *backoffSeed},
+			PollInterval:   *pollInterval,
+			ProbeInterval:  *probeInterval,
+			ProbeThreshold: *probeThreshold,
+			ShardWorkers:   *shardWorkers,
 		}
-		cfg := clusterConfig{
-			opts: cluster.Options{
-				Shards:         shards,
-				RequestTimeout: *shardTimeout,
-				Retries:        *shardRetries,
-				Backoff:        harness.Backoff{Base: *retryBase, Max: *retryMax, Seed: *backoffSeed},
-				PollInterval:   *pollInterval,
-				ProbeInterval:  *probeInterval,
-				ProbeThreshold: *probeThreshold,
-				ShardWorkers:   *shardWorkers,
-			},
-			queueDepth:     *queueDepth,
-			reportDir:      *reportDir,
-			reportMaxFiles: *reportMaxFiles,
-			store:          storeConfig{dir: *storeDir, maxBytes: *storeMaxBytes},
-			trace:          traceConfig{dir: *traceDir, proc: *traceProc},
-		}
-		if err := serveCluster(ln, cfg, *drainTimeout, *requestTimeout, *maxInflight, *pprofAddr); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *shardsFlag != "" || *membershipFile != "" {
+	} else if *shardsFlag != "" || *membershipFile != "" {
 		log.Fatal("localityd: -shards/-membership-file require -coordinator")
 	}
 	tcfg, err := loadTenants(*tenantsFile)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := run(*addr, jobs.Options{
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatalf("localityd: listen: %v", err)
+	}
+	if err := serve(ln, jobs.Options{
 		Workers:        *workers,
 		QueueDepth:     *queueDepth,
 		CheckpointDir:  *checkpointDir,
@@ -447,7 +433,7 @@ func main() {
 		Tenancy:        tcfg,
 		Idempotent:     *idempotent,
 		Retention:      *retention,
-	}, storeConfig{dir: *storeDir, maxBytes: *storeMaxBytes},
+	}, co, storeConfig{dir: *storeDir, maxBytes: *storeMaxBytes},
 		traceConfig{dir: *traceDir, proc: *traceProc},
 		*drainTimeout, *requestTimeout, *maxInflight, *pprofAddr); err != nil {
 		log.Fatal(err)
@@ -512,15 +498,6 @@ func loadTenants(path string) (*tenant.Config, error) {
 	return &cfg, nil
 }
 
-// run resolves the listen address; serve owns the lifecycle.
-func run(addr string, poolOpts jobs.Options, sc storeConfig, tc traceConfig, drainTimeout, requestTimeout time.Duration, maxInflight int, pprofAddr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("localityd: listen: %w", err)
-	}
-	return serve(ln, poolOpts, sc, tc, drainTimeout, requestTimeout, maxInflight, pprofAddr)
-}
-
 // pprofHandler routes the net/http/pprof endpoints. It backs the opt-in
 // -pprof-addr listener only — profiling never shares the API port, so a
 // scrape-armed deployment exposes nothing extra by default.
@@ -534,11 +511,12 @@ func pprofHandler() http.Handler {
 	return mux
 }
 
-// serve runs the worker service on an existing listener until
-// SIGTERM/SIGINT, then drains: readiness flips, the pool runs down to the
-// drain deadline (checkpointing whatever it must cancel), and every
-// goroutine is reaped before serve returns.
-func serve(ln net.Listener, poolOpts jobs.Options, sc storeConfig, tc traceConfig, drainTimeout, requestTimeout time.Duration, maxInflight int, pprofAddr string) error {
+// serve runs the service on an existing listener until SIGTERM/SIGINT (or
+// a listener error), then drains: readiness flips, the pool runs down to
+// the drain deadline (checkpointing whatever it must cancel), and every
+// goroutine is reaped before serve returns. A non-nil co makes the pool a
+// cluster front-end (see coordinate).
+func serve(ln net.Listener, poolOpts jobs.Options, co *cluster.Options, sc storeConfig, tc traceConfig, drainTimeout, requestTimeout time.Duration, maxInflight int, pprofAddr string) error {
 	reg := obs.NewRegistry()
 	obs.RegisterBuildInfo(reg)
 	poolOpts.Metrics = reg
@@ -558,31 +536,32 @@ func serve(ln net.Listener, poolOpts jobs.Options, sc storeConfig, tc traceConfi
 		defer tr.Close()
 		poolOpts.Tracer = tr
 	}
-	pool := jobs.New(poolOpts)
-	s := newServer(pool, maxInflight, requestTimeout, reg, tr)
-	return serveUntilSignal(ln, s.handler(), pprofAddr, "localityd", drainTimeout, s.drain)
-}
-
-// serveUntilSignal is the serving lifecycle shared by the worker and
-// coordinator modes: serve the handler until SIGTERM/SIGINT (or a listener
-// error), then run the mode's drain under the deadline and shut the
-// listener down.
-func serveUntilSignal(ln net.Listener, h http.Handler, pprofAddr, name string, drainTimeout time.Duration, drain func(context.Context) error) error {
+	if co != nil {
+		co.Metrics = reg
+		co.Logf = log.Printf
+		if err := coordinate(&poolOpts, *co); err != nil {
+			return err
+		}
+		for _, sh := range co.Shards {
+			log.Printf("localityd: cluster member %s = %s", sh.Name, sh.URL)
+		}
+	}
+	s := newServer(jobs.New(poolOpts), maxInflight, requestTimeout, reg, tr)
 	srv := &http.Server{
-		Handler:           h,
+		Handler:           s.handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	if pprofAddr != "" {
 		pln, err := net.Listen("tcp", pprofAddr)
 		if err != nil {
-			return fmt.Errorf("%s: pprof listen: %w", name, err)
+			return fmt.Errorf("localityd: pprof listen: %w", err)
 		}
 		psrv := &http.Server{Handler: pprofHandler(), ReadHeaderTimeout: 5 * time.Second}
 		defer psrv.Close()
 		go func() {
-			log.Printf("%s pprof listening on %s", name, pln.Addr())
+			log.Printf("localityd pprof listening on %s", pln.Addr())
 			if err := psrv.Serve(pln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Printf("%s: pprof serve: %v", name, err)
+				log.Printf("localityd: pprof serve: %v", err)
 			}
 		}()
 	}
@@ -592,7 +571,7 @@ func serveUntilSignal(ln net.Listener, h http.Handler, pprofAddr, name string, d
 
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("%s listening on %s", name, ln.Addr())
+		log.Printf("localityd listening on %s", ln.Addr())
 		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 		}
@@ -600,16 +579,16 @@ func serveUntilSignal(ln net.Listener, h http.Handler, pprofAddr, name string, d
 
 	select {
 	case err := <-errc:
-		return fmt.Errorf("%s: serve: %w", name, err)
+		return fmt.Errorf("localityd: serve: %w", err)
 	case <-ctx.Done():
 	}
 	stop()
-	log.Printf("%s: draining (deadline %v)", name, drainTimeout)
+	log.Printf("localityd: draining (deadline %v)", drainTimeout)
 
 	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
-	if err := drain(drainCtx); err != nil {
-		log.Printf("%s: %v (remaining progress checkpointed)", name, err)
+	if err := s.drain(drainCtx); err != nil {
+		log.Printf("localityd: %v (remaining progress checkpointed)", err)
 	}
 	// A deadline-hit drain consumes the whole budget force-cancelling jobs —
 	// which is what releases long-lived handlers (the SSE streams) to finish
@@ -623,8 +602,8 @@ func serveUntilSignal(ln net.Listener, h http.Handler, pprofAddr, name string, d
 		defer shutCancel()
 	}
 	if err := srv.Shutdown(shutCtx); err != nil {
-		return fmt.Errorf("%s: shutdown: %w", name, err)
+		return fmt.Errorf("localityd: shutdown: %w", err)
 	}
-	log.Printf("%s: drained", name)
+	log.Printf("localityd: drained")
 	return nil
 }

@@ -292,7 +292,9 @@ func TestSIGTERMDrain(t *testing.T) {
 			time.Sleep(30 * time.Millisecond)
 		}}
 	done := make(chan error, 1)
-	go func() { done <- serve(ln, opts, storeConfig{}, traceConfig{}, 150*time.Millisecond, 5*time.Second, 64, "") }()
+	go func() {
+		done <- serve(ln, opts, nil, storeConfig{}, traceConfig{}, 150*time.Millisecond, 5*time.Second, 64, "")
+	}()
 
 	waitHTTP(t, base+"/healthz", http.StatusOK, 10*time.Second)
 	resp := submit(t, base, `{"experiment":"E12","quick":true,"seed":5}`)

@@ -116,7 +116,7 @@ func TestClusterTraceE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, front := testClusterFrontend(t, t.TempDir(), coordTr, urls...)
+	cs, front := testClusterFrontend(t, jobs.Options{ReportDir: t.TempDir(), Tracer: coordTr}, urls...)
 
 	resp := submit(t, front.URL, `{"experiment":"E4","quick":true,"seed":7}`)
 	if resp.StatusCode != http.StatusAccepted {
@@ -166,7 +166,7 @@ func TestClusterTraceE2E(t *testing.T) {
 		t.Errorf("post-kill output differs from single-process run (tracing must not change bytes)")
 	}
 
-	// Drain so runOne has returned and the cluster.sweep span record — the
+	// Drain so the sweep has returned and the cluster.sweep span record — the
 	// parent of every shard-side root — is on disk. Worker tracers are never
 	// closed (two are about to be SIGKILLed by cleanup anyway); unbuffered
 	// appends mean everything a worker finished is already durable.

@@ -172,8 +172,6 @@ func contractAnalyzers() []*analysis.Analyzer {
 					Reason: "the concurrent engine's per-node workers, joined at every phase barrier"},
 				{File: "cmd/localityd/main.go",
 					Reason: "HTTP serve loop and signal watcher, reaped on shutdown"},
-				{File: "cmd/localityd/cluster.go",
-					Reason: "cluster runner goroutine, reaped via runnerDone on drain"},
 				{File: "internal/load/leaves.go",
 					Reason: "the load engine's only spawn site, joined unconditionally by spawnClients"},
 				{File: "cmd/localload/main.go",

@@ -66,8 +66,9 @@ type Event struct {
 // Result is a completed cluster sweep.
 type Result struct {
 	// Output is the final rendered table — byte-identical to a single-process
-	// run of the same spec.
-	Output string `json:"output"`
+	// run of the same spec. It is left out of the JSON audit trail: a job
+	// snapshot carries the table once, as its own output.
+	Output string `json:"-"`
 	// Checkpoint is the merged shard checkpoint before the endgame; sparse
 	// iff some batches had to be recomputed locally.
 	Checkpoint *harness.Checkpoint `json:"-"`
@@ -90,7 +91,7 @@ type Result struct {
 // Coordinator shards sweeps across worker localityd instances and merges
 // the results. Create with New; Run executes one sweep. A Coordinator is
 // not safe for concurrent Runs — callers serialize (cmd/localityd's
-// coordinator mode runs one cluster job at a time per Coordinator).
+// coordinator front-end runs its job pool with one worker).
 type Coordinator struct {
 	opts    Options
 	metrics clusterMetrics

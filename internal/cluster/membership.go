@@ -14,6 +14,7 @@ package cluster
 
 import (
 	"fmt"
+	"net/url"
 	"os"
 	"strings"
 )
@@ -29,15 +30,7 @@ type Shard struct {
 // ParseShards parses a comma-separated membership list. Each entry is
 // either "name=url" or a bare URL (named shard0, shard1, ... by position).
 func ParseShards(list string) ([]Shard, error) {
-	var shards []Shard
-	for _, entry := range strings.Split(list, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		shards = append(shards, parseShard(entry, len(shards)))
-	}
-	return validateShards(shards)
+	return parseMembership(strings.Split(list, ","))
 }
 
 // LoadShards reads a membership file: one entry per line in the same
@@ -47,13 +40,19 @@ func LoadShards(path string) ([]Shard, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: membership file: %w", err)
 	}
+	return parseMembership(strings.Split(string(data), "\n"))
+}
+
+// parseMembership parses membership entries, skipping blank ones and
+// #-comments, and validates the result.
+func parseMembership(entries []string) ([]Shard, error) {
 	var shards []Shard
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
+	for _, entry := range entries {
+		entry = strings.TrimSpace(entry)
+		if entry == "" || strings.HasPrefix(entry, "#") {
 			continue
 		}
-		shards = append(shards, parseShard(line, len(shards)))
+		shards = append(shards, parseShard(entry, len(shards)))
 	}
 	return validateShards(shards)
 }
@@ -74,8 +73,8 @@ func validateShards(shards []Shard) ([]Shard, error) {
 		if s.Name == "" || s.URL == "" {
 			return nil, fmt.Errorf("cluster: malformed member %q=%q", s.Name, s.URL)
 		}
-		if !strings.Contains(s.URL, "://") {
-			return nil, fmt.Errorf("cluster: member %s URL %q missing scheme", s.Name, s.URL)
+		if u, err := url.Parse(s.URL); err != nil || u.Scheme == "" || u.Host == "" {
+			return nil, fmt.Errorf("cluster: member %s URL %q needs a scheme and a host", s.Name, s.URL)
 		}
 		if seen[s.Name] {
 			return nil, fmt.Errorf("cluster: duplicate member name %q", s.Name)

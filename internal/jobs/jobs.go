@@ -32,6 +32,7 @@ package jobs
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -103,6 +104,9 @@ type Job struct {
 	ErrorKind string `json:"error_kind,omitempty"`
 	// Output is the rendered result table; set only on success.
 	Output string `json:"output,omitempty"`
+	// Result is the executor's audit value (see Options.Executor); absent
+	// for local sweeps and result-store hits.
+	Result json.RawMessage `json:"result,omitempty"`
 }
 
 // Sentinels. All job-layer errors classify with errors.Is.

@@ -3,6 +3,7 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"runtime/debug"
 	"sort"
@@ -93,10 +94,46 @@ type Options struct {
 	// map entry with it — the dedup map cannot outgrow the job table.
 	// 0 retains everything (tests, short-lived pools).
 	Retention int
+	// Executor, when non-nil, runs each job attempt in place of the local
+	// harness sweep; the pool still owns everything around it (admission,
+	// tenancy, dedup, the result store, queueing, Spec.Timeout, cancel,
+	// drain, retry, retention, events and spans). Executor jobs are never
+	// sharded: a Spec with Rows is shed with ErrInvalidRowSpec, because
+	// only the local sweep can honor a row selection, and CheckpointDir,
+	// BatchHook and ReportDir, which observe the local sweep, go unused.
+	// Nil runs the sweep in process, checkpointed batch by batch.
+	Executor Executor
 
 	// nowNanos overrides the monotonic clock feeding the tenant registry's
 	// token buckets. Tests only; nil uses the process monotonic clock.
 	nowNanos func() int64
+}
+
+// Executor runs one attempt of a job. ctx carries the job's cancellation,
+// Spec.Timeout and drain deadline. Whatever Outcome it returns — on error
+// too — is recorded: Output and Batches only on success, Result always.
+type Executor func(ctx context.Context, t Task) (Outcome, error)
+
+// Task is what an Executor is told about the job it runs.
+type Task struct {
+	ID   string
+	Spec Spec
+	// Root is the job's trace root (the admission span); spans the
+	// executor emits parent to it.
+	Root trace.SpanContext
+	// APIKey is the submitter's raw API key, for forwarding the job's
+	// tenancy downstream. It never appears in a snapshot.
+	APIKey string
+}
+
+// Outcome is an executor attempt's product.
+type Outcome struct {
+	// Output is the rendered table, written through to the result store.
+	Output string
+	// Batches is the sweep's batch count, stored with the table.
+	Batches int
+	// Result is an opaque JSON audit value, exposed as Job.Result.
+	Result json.RawMessage
 }
 
 func (o Options) workers() int {
@@ -128,6 +165,7 @@ type job struct {
 	ikey     string // determinism identity, when dedup or the result store needs it
 	num      int    // submission order, for List
 	tenantID string // admitting tenant's public ID
+	apiKey   string // raw API key for the Executor; cleared under the mutex at dequeue
 
 	ctx    context.Context // cancelled by Cancel, Close, or pool teardown
 	cancel context.CancelFunc
@@ -137,6 +175,7 @@ type job struct {
 	batchesDone int
 	err         error
 	output      string
+	result      json.RawMessage     // Executor audit value
 	ck          *harness.Checkpoint // latest snapshot; final sparse ck for sharded jobs
 	subs        []*Subscription     // live event streams
 	eventSeq    uint64
@@ -189,9 +228,13 @@ func New(opts Options) *Pool {
 	if opts.Tenancy != nil {
 		tcfg = *opts.Tenancy
 	}
+	ckdir := opts.CheckpointDir
+	if opts.Executor != nil {
+		ckdir = "" // batch checkpoints belong to the local sweep
+	}
 	p := &Pool{
 		opts:      opts,
-		store:     checkpointStore{dir: opts.CheckpointDir},
+		store:     checkpointStore{dir: ckdir},
 		metrics:   newPoolMetrics(opts.Metrics),
 		wake:      make(chan struct{}, opts.queueDepth()),
 		epoch:     time.Now(),
@@ -300,7 +343,11 @@ func (p *Pool) SubmitTenantSpan(parent trace.SpanContext, apiKey string, spec Sp
 		p.metrics.shedUnknown.Inc()
 		return shed(fmt.Errorf("%w %q", ErrUnknownExperiment, spec.Experiment))
 	}
-	if err := spec.Rows.Validate(); err != nil {
+	err := spec.Rows.Validate()
+	if err == nil && spec.Rows != nil && p.opts.Executor != nil {
+		err = fmt.Errorf("%w: the executor runs whole sweeps", ErrInvalidRowSpec)
+	}
+	if err != nil {
 		p.metrics.shedInvalid.Inc()
 		return shed(err)
 	}
@@ -388,6 +435,7 @@ func (p *Pool) SubmitTenantSpan(parent trace.SpanContext, apiKey string, spec Sp
 		spec:     spec,
 		ikey:     ikey,
 		tenantID: ten.ID(),
+		apiKey:   apiKey,
 		ctx:      ctx,
 		cancel:   cancel,
 		state:    StateQueued,
@@ -458,6 +506,7 @@ func (p *Pool) snapshot(j *job) Job {
 		Attempts:    j.attempts,
 		BatchesDone: j.batchesDone,
 		Output:      j.output,
+		Result:      j.result,
 	}
 	if j.err != nil {
 		s.Error = j.err.Error()
@@ -528,6 +577,8 @@ func (p *Pool) Close(ctx context.Context) error {
 func (p *Pool) runJob(j *job, ten *tenant.Tenant) {
 	defer j.cancel()
 	p.mu.Lock()
+	task := Task{ID: j.id, Spec: j.spec, Root: j.root, APIKey: j.apiKey}
+	j.apiKey = ""
 	if j.ctx.Err() != nil { // cancelled while queued
 		p.finishLocked(j, fmt.Errorf("jobs: cancelled before start: %w", context.Cause(j.ctx)))
 		p.tenants.Finish(ten)
@@ -571,7 +622,7 @@ func (p *Pool) runJob(j *job, ten *tenant.Tenant) {
 	// transient errors for retry and swallows permanent ones (recording
 	// them in `permanent`) to stop the budget early — a cancelled or
 	// deadlined job must not burn attempts it was told not to make.
-	var table string
+	var out Outcome
 	var permanent error
 	rr := harness.RetryContext(ctx, p.opts.retryBudget(), backoff, func(attempt int) error {
 		if attempt > 0 {
@@ -580,14 +631,10 @@ func (p *Pool) runJob(j *job, ten *tenant.Tenant) {
 		p.mu.Lock()
 		j.attempts = attempt + 1
 		p.mu.Unlock()
-		tbl, err := p.attempt(ctx, j, &ck)
+		var err error
+		out, err = p.attempt(ctx, j, task, &ck)
 		switch {
 		case err == nil:
-			if tbl != nil { // sharded attempts succeed table-less
-				var buf bytes.Buffer
-				tbl.Render(&buf)
-				table = buf.String()
-			}
 			return nil
 		case cancelled(err) || classify(err) == "deadline":
 			permanent = err
@@ -608,10 +655,11 @@ func (p *Pool) runJob(j *job, ten *tenant.Tenant) {
 	}
 
 	p.mu.Lock()
+	j.result = out.Result
 	if final == nil {
 		j.state = StateSucceeded
-		j.output = table
-		batches := j.batchesDone
+		j.output = out.Output
+		j.batchesDone = out.Batches
 		p.retainLocked(j)
 		p.tenants.Finish(ten)
 		subs := j.takeSubsLocked()
@@ -627,7 +675,7 @@ func (p *Pool) runJob(j *job, ten *tenant.Tenant) {
 			p.store.clear(j.spec)
 			if p.opts.Store != nil {
 				ps := p.opts.Tracer.Start(j.root, "store.put")
-				p.opts.Store.Put(j.ikey, store.Result{Output: table, Batches: batches})
+				p.opts.Store.Put(j.ikey, store.Result{Output: out.Output, Batches: out.Batches})
 				ps.End()
 			}
 		}
@@ -685,17 +733,18 @@ func (p *Pool) retainLocked(j *job) {
 	}
 }
 
-// attempt runs the experiment driver once, under panic isolation: a
-// panicking driver (or batch hook) is recovered into a *JobError carrying
-// the value and stack, and the worker lives on. Completed row batches are
-// checkpointed as they land, so whatever ends this attempt, the next one —
-// or a resubmission — resumes where it stopped.
+// attempt runs the job once — through Options.Executor when set, else the
+// experiment driver in process — under panic isolation: a panic (in the
+// executor, the driver, or a batch hook) is recovered into a *JobError
+// carrying the value and stack, and the worker lives on. Completed row
+// batches are checkpointed as they land, so whatever ends a local attempt,
+// the next one — or a resubmission — resumes where it stopped.
 //
 // A sharded attempt (Spec.Rows set) ends in the harness's *ShardDoneError
 // panic instead of returning a table; that is its success: the final sparse
 // checkpoint — TotalBatches now known — is recorded, persisted, and the
-// attempt reports (nil, nil).
-func (p *Pool) attempt(ctx context.Context, j *job, ck **harness.Checkpoint) (tbl *harness.Table, err error) {
+// attempt reports an empty Output.
+func (p *Pool) attempt(ctx context.Context, j *job, task Task, ck **harness.Checkpoint) (out Outcome, err error) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -706,9 +755,8 @@ func (p *Pool) attempt(ctx context.Context, j *job, ck **harness.Checkpoint) (tb
 			p.store.save(j.spec, done.Checkpoint)
 			p.mu.Lock()
 			j.ck = done.Checkpoint
-			j.batchesDone = done.Checkpoint.Computed()
 			p.mu.Unlock()
-			tbl, err = nil, nil
+			out, err = Outcome{Batches: done.Checkpoint.Computed()}, nil
 			return
 		}
 		p.metrics.panics.Inc()
@@ -718,6 +766,9 @@ func (p *Pool) attempt(ctx context.Context, j *job, ck **harness.Checkpoint) (tb
 		}
 		err = je
 	}()
+	if p.opts.Executor != nil {
+		return p.opts.Executor(ctx, task)
+	}
 	report, closeReport := p.reportSink(j)
 	defer closeReport()
 	driver, _ := lookup(j.spec.Experiment)
@@ -746,7 +797,9 @@ func (p *Pool) attempt(ctx context.Context, j *job, ck **harness.Checkpoint) (tb
 	if j.spec.Rows != nil {
 		cfg.RowSelect = j.spec.Rows.Selected
 	}
-	return driver(cfg), nil
+	var buf bytes.Buffer
+	driver(cfg).Render(&buf)
+	return Outcome{Output: buf.String(), Batches: (*ck).Computed()}, nil
 }
 
 // Checkpoint returns the job's latest checkpoint snapshot — updated batch by
